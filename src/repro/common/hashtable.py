@@ -1,15 +1,18 @@
-"""A chained hash table, as used for the descriptor tables of section 4.1.
+"""The descriptor hash tables of section 4.1.
 
 The paper stores transaction descriptors "in a chained hash table based on
 the transaction tid", and hashes permit descriptors and dependency edges
 *doubly* — once per participating transaction — "so that permissions given
 by or given to a transaction can be located efficiently".
 
-A Python ``dict`` would of course serve, but the benchmark for Figure 1
-measures the scaling behaviour of the *paper's* structure, so this module
-implements an honest chained table with a configurable bucket count and
-load-factor-driven resizing.  :class:`DoubleHashIndex` composes two chained
-tables to provide the by-left / by-right lookups the paper describes.
+:class:`ChainedHashTable` is an honest chained table with a configurable
+bucket count and load-factor-driven resizing.  It is the Figure 1
+artifact: the FIG1 benchmark measures the scaling behaviour of the
+*paper's* structure with it.  The running system does not use it: the TD
+table (:class:`~repro.core.descriptors.TransactionTable`) and
+:class:`DoubleHashIndex`, which gives the by-left / by-right lookups the
+paper describes, are backed by ``dict`` — the same hashed, no-search
+lookup at C speed.
 """
 
 from __future__ import annotations
@@ -61,23 +64,6 @@ class ChainedHashTable:
                 return value
         return default
 
-    def get_or_insert(self, key, factory):
-        """Return the value under ``key``, inserting ``factory()`` if absent.
-
-        One bucket walk instead of the get-then-put double walk the
-        index hot paths would otherwise pay.
-        """
-        chain = self._bucket_for(key)
-        for existing, value in chain:
-            if existing == key:
-                return value
-        value = factory()
-        chain.append((key, value))
-        self._size += 1
-        if self._size > self._max_load * len(self._buckets):
-            self._resize()
-        return value
-
     def remove(self, key):
         """Remove and return the value under ``key``; ``None`` if absent."""
         chain = self._bucket_for(key)
@@ -126,23 +112,23 @@ class DoubleHashIndex:
 
     The paper double-hashes permit descriptors and dependency edges on "the
     tid of the two transactions involved" so that the set given *by* a
-    transaction and the set given *to* a transaction can each be located in
-    expected O(chain) time.  Items are arbitrary objects; the caller
-    supplies the (left, right) key pair at insertion.
+    transaction and the set given *to* a transaction can each be located
+    without searching.  Items are arbitrary objects; the caller supplies
+    the (left, right) key pair at insertion.  Each side is a ``dict``.
 
     The same (left, right) pair may index many items (e.g. several permits
     between the same two transactions on different objects), so each slot
-    holds a list.
+    holds a list, in insertion order.
     """
 
     def __init__(self):
-        self._by_left = ChainedHashTable()
-        self._by_right = ChainedHashTable()
+        self._by_left = {}
+        self._by_right = {}
 
     def add(self, left, right, item):
         """Index ``item`` under the pair ``(left, right)``."""
-        for table, key in ((self._by_left, left), (self._by_right, right)):
-            table.get_or_insert(key, list).append(item)
+        self._by_left.setdefault(left, []).append(item)
+        self._by_right.setdefault(right, []).append(item)
 
     def remove(self, left, right, item):
         """Remove one previously added ``item``; missing items are ignored."""
@@ -151,15 +137,15 @@ class DoubleHashIndex:
             if slot and item in slot:
                 slot.remove(item)
                 if not slot:
-                    table.remove(key)
+                    del table[key]
 
     def by_left(self, left):
         """All items whose pair has ``left`` on the left (a fresh list)."""
-        return list(self._by_left.get(left) or ())
+        return list(self._by_left.get(left, ()))
 
     def by_right(self, right):
         """All items whose pair has ``right`` on the right (a fresh list)."""
-        return list(self._by_right.get(right) or ())
+        return list(self._by_right.get(right, ()))
 
     def involving(self, tid):
         """All items where ``tid`` appears on either side (deduplicated).
@@ -179,4 +165,4 @@ class DoubleHashIndex:
         return out
 
     def __len__(self):
-        return sum(len(slot) for __, slot in self._by_left.items())
+        return sum(len(slot) for slot in self._by_left.values())

@@ -8,7 +8,10 @@ OS processes; determinism is this reproduction's substitute for wall-clock
 racing — see DESIGN.md).
 
 Blocked requests are retried every round, "starting at step 1" as the
-section 4.2 algorithms specify.  When a full round makes no progress the
+section 4.2 algorithms specify.  A round costs O(live tasks): the
+scheduler keeps its unfinished tasks in spawn order and drops finished
+ones as it goes, so a long-lived runtime does not rescan every
+transaction it ever ran.  When a full round makes no progress the
 runtime asks the deadlock detector for a victim; a stall with no deadlock
 cycle raises :class:`SchedulerStalledError` — in a correct program that
 means a dependency that can never resolve, which is a bug worth surfacing
@@ -99,8 +102,8 @@ class CooperativeRuntime:
     def __init__(self, manager=None, seed=None, max_idle_rounds=2,
                  schedule=None, watchdog=None):
         self.manager = manager if manager is not None else TransactionManager()
-        self._tasks = {}
-        self._order = []  # tids in spawn order (round-robin basis)
+        self._tasks = {}  # every task ever spawned, for result_of/error_of
+        self._live = []  # unfinished tasks in spawn order (round-robin basis)
         self._rng = random.Random(seed) if seed is not None else None
         self._max_idle_rounds = max_idle_rounds
         # An explicit schedule controller (repro.chaos.explorer) decides
@@ -216,8 +219,9 @@ class CooperativeRuntime:
             return
         ctx = TxnContext(tid, parent=td.parent)
         gen = td.function(ctx, *td.args)
-        self._tasks[tid] = _Task(tid, gen)
-        self._order.append(tid)
+        task = _Task(tid, gen)
+        self._tasks[tid] = task
+        self._live.append(task)
 
     def result_of(self, tid):
         """The return value of ``tid``'s program (None if none)."""
@@ -230,16 +234,26 @@ class CooperativeRuntime:
         return task.error if task is not None else None
 
     def active_tasks(self):
-        """Tids of tasks that have not finished."""
-        return [t for t in self._order if not self._tasks[t].finished]
+        """Tids of tasks that have not finished, in spawn order.
+
+        Read-only: only the thread that runs rounds prunes the live list
+        (other threads poll this on the parallel sharded runtime).
+        """
+        return [task.tid for task in self._live if not task.finished]
 
     # ------------------------------------------------------------------
     # the scheduler
     # ------------------------------------------------------------------
 
     def _runnable(self):
-        return [self._tasks[t] for t in self._order
-                if not self._tasks[t].finished]
+        """Unfinished tasks in spawn order (a fresh list the caller owns).
+
+        Tasks that finished since the last call are dropped from the
+        live list here, so the cost is the live count plus the tasks
+        that just finished, never the whole spawn history.
+        """
+        self._live = [task for task in self._live if not task.finished]
+        return list(self._live)
 
     def round(self):
         """Give every unfinished task one step; return whether any moved.

@@ -173,12 +173,16 @@ class BufferPool:
     # -- introspection ----------------------------------------------------------
 
     def cached_page_ids(self):
-        """The page ids currently cached (for tests)."""
+        """The page ids currently cached, ascending (for tests)."""
         with self._lock:
             return sorted(self._frames)
 
     def frame_for(self, page_id):
-        """Peek at the frame for ``page_id`` without pinning (tests only)."""
+        """Peek at the frame for ``page_id`` without pinning.
+
+        ``None`` when the page is not cached.  Object placement uses it
+        to pass over uncached pages without reading them.
+        """
         return self._frames.get(page_id)
 
     def __len__(self):

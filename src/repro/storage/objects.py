@@ -1,10 +1,18 @@
 """The object store: persistent objects on slotted pages.
 
 Maps :class:`~repro.common.ids.ObjectId` values to ``(page, slot)``
-locations, placing new objects on the first page with room and allocating
-pages as needed.  The object table is volatile — on open it is rebuilt by
-scanning pages, which is also how restart recovery re-discovers objects
-whose creation survived a crash.
+locations, placing new objects on the first cached page with room and
+allocating pages as needed.  An advisory page -> usable-bytes hint lets
+placement skip pages that cannot take the value without fetching them,
+so a create neither pins every cached page nor sets every clock bit, and
+its cost follows the pages with room, not the size of the cache.  The
+hint is refreshed whenever this store touches a page;
+:meth:`~repro.storage.page.Page.fits` stays the guard, so a stale hint
+can at worst cost a fresh page, never an overfull one.
+
+The object table is volatile — on open it is rebuilt by scanning pages,
+which is also how restart recovery re-discovers objects whose creation
+survived a crash.
 
 Values at this layer are raw bytes; typed views (counters, records, …)
 are provided by the semantics layer above.
@@ -25,7 +33,7 @@ import threading
 
 from repro.common.errors import StorageError, UnknownObjectError
 from repro.common.ids import ObjectId
-from repro.storage.page import PageFullError
+from repro.storage.page import SLOT_SIZE, Page, PageFullError
 
 # Chunk ids: bit 62 set, then 16 bits of chunk index, then the owner id.
 _CHUNK_FLAG = 1 << 62
@@ -52,6 +60,12 @@ class ObjectStore:
     def __init__(self, buffer_pool):
         self.pool = buffer_pool
         self._locations = {}
+        self._room = {}  # page id -> Page.usable_space() when last seen
+        # The same pages grouped by the bit length of their room, so a
+        # placement looks only at pages that might take the value.
+        self._by_room = [
+            set() for __ in range(self.pool.disk.page_size.bit_length() + 1)
+        ]
         self._next_oid_value = 1
         self._lock = threading.RLock()
         # Conservative single-page payload bound: page size minus header
@@ -70,6 +84,9 @@ class ObjectStore:
         """
         with self._lock:
             self._locations.clear()
+            self._room.clear()
+            for pages in self._by_room:
+                pages.clear()
             self.damaged_pages = []
             high_water = 0
             for page_id in self.pool.disk.page_ids():
@@ -79,6 +96,7 @@ class ObjectStore:
                     self._quarantine(page_id)
                     continue
                 try:
+                    self._note_room(page_id, frame.page)
                     for slot, oid_value, __ in frame.page.items():
                         self._locations[oid_value] = (page_id, slot)
                         if not _is_chunk(oid_value):
@@ -89,11 +107,19 @@ class ObjectStore:
 
     def _quarantine(self, page_id):
         """Replace a damaged page with a fresh empty one."""
-        from repro.storage.page import Page
-
         self.damaged_pages.append(page_id)
         empty = Page(page_id, page_size=self.pool.disk.page_size)
         self.pool.disk.write_page(page_id, empty.to_bytes())
+        self._note_room(page_id, empty)
+
+    def _note_room(self, page_id, page):
+        """Refresh the room hint for ``page_id`` from its page."""
+        room = page.usable_space()
+        old = self._room.get(page_id)
+        if old is not None:
+            self._by_room[old.bit_length()].discard(page_id)
+        self._room[page_id] = room
+        self._by_room[room.bit_length()].add(page_id)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -155,6 +181,7 @@ class ObjectStore:
         try:
             frame.page.delete(slot)
         finally:
+            self._note_room(page_id, frame.page)
             self.pool.unpin(page_id, dirty=True)
 
     @staticmethod
@@ -166,8 +193,23 @@ class ObjectStore:
         return count, total
 
     def _place(self, oid_value, value):
-        """Find or allocate a page for the value; return its location."""
-        for page_id in self.pool.cached_page_ids():
+        """Find or allocate a page for the value; return its location.
+
+        The candidates are the cached pages whose hinted room can take
+        the value, tried in ascending id order; every other page is
+        skipped unseen.
+        """
+        needed = len(value) + SLOT_SIZE
+        room = self._room
+        fitting = [
+            page_id
+            for pages in self._by_room[needed.bit_length():]
+            for page_id in pages
+            if room[page_id] >= needed
+        ]
+        for page_id in sorted(fitting):
+            if self.pool.frame_for(page_id) is None:
+                continue  # not cached: placement does no I/O
             frame = self.pool.fetch(page_id)
             inserted = False
             try:
@@ -178,17 +220,19 @@ class ObjectStore:
             except PageFullError:
                 pass
             finally:
+                self._note_room(page_id, frame.page)
                 self.pool.unpin(page_id, dirty=inserted)
         frame = self.pool.new_page()
         page_id = frame.page.page_id
         try:
             slot = frame.page.insert(oid_value, value)
         except PageFullError:
-            self.pool.unpin(page_id, dirty=True)
             raise StorageError(
                 f"value of {len(value)} bytes exceeds page capacity"
             ) from None
-        self.pool.unpin(page_id, dirty=True)
+        finally:
+            self._note_room(page_id, frame.page)
+            self.pool.unpin(page_id, dirty=True)
         return page_id, slot
 
     def exists(self, oid):
@@ -243,6 +287,7 @@ class ObjectStore:
                 except PageFullError:
                     pass  # fall through to relocate
                 finally:
+                    self._note_room(page_id, frame.page)
                     self.pool.unpin(page_id, dirty=True)
             self._drop_value(oid.value)
             self._store_value(oid.value, value)

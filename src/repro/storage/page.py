@@ -9,6 +9,8 @@ Objects live on pages.  A page is a fixed-size byte array with:
 
 Deleted slots keep their directory entry (offset set to the tombstone
 value) so slot numbers remain stable; compaction reclaims their data space.
+The page keeps a running total of those tombstoned bytes, so asking
+whether a value fits never walks the slot directory.
 The layout is genuinely byte-level — pages round-trip through ``to_bytes``
 / ``from_bytes`` unchanged, which is what the disk manager and crash
 simulation rely on.
@@ -26,6 +28,8 @@ _MAGIC = 0xA55E  # "ASSE(T)"
 _HEADER = struct.Struct("<HHIQ")  # magic, slot_count, watermark, page_id
 _SLOT = struct.Struct("<HHQ")  # offset, length, object id
 _TOMBSTONE = 0xFFFF
+SLOT_SIZE = _SLOT.size
+"""Directory bytes one new slot costs on top of its data."""
 
 
 class PageFullError(StorageError):
@@ -44,6 +48,7 @@ class Page:
         self._slots = []
         self._data = bytearray(page_size)
         self._watermark = _HEADER.size
+        self._reclaimable = 0  # sum of tombstoned slots' lengths
 
     # -- space accounting ---------------------------------------------------
 
@@ -66,9 +71,11 @@ class Page:
 
     def reclaimable_space(self):
         """Bytes held by tombstoned slots, recoverable by compaction."""
-        return sum(
-            length for offset, length, __ in self._slots if offset == _TOMBSTONE
-        )
+        return self._reclaimable
+
+    def usable_space(self):
+        """Bytes a new object and its slot entry could use after compaction."""
+        return self.free_space() + self._reclaimable
 
     def fits(self, data_len, reuse_slot=None):
         """Whether an object of ``data_len`` bytes fits (after compaction).
@@ -78,7 +85,7 @@ class Page:
         already counted by :meth:`reclaimable_space`.
         """
         slot_cost = 0 if reuse_slot is not None else _SLOT.size
-        usable = self.free_space() + self.reclaimable_space()
+        usable = self.usable_space()
         if reuse_slot is not None:
             offset, old_len, __ = self._slots[reuse_slot]
             if offset != _TOMBSTONE:
@@ -111,7 +118,7 @@ class Page:
         self._data[offset : offset + len(data)] = data
         self._watermark += len(data)
         if reuse is not None:
-            self._slots[reuse] = (offset, len(data), oid_value)
+            self._set_slot(reuse, (offset, len(data), oid_value))
             return reuse
         self._slots.append((offset, len(data), oid_value))
         return len(self._slots) - 1
@@ -138,18 +145,27 @@ class Page:
             raise PageFullError(
                 f"page {self.page_id}: no room to grow slot {slot}"
             )
-        self._slots[slot] = (_TOMBSTONE, length, oid_value)
+        self._set_slot(slot, (_TOMBSTONE, length, oid_value))
         if len(data) > self.free_space():
             self.compact()
         new_offset = self._watermark
         self._data[new_offset : new_offset + len(data)] = data
         self._watermark += len(data)
-        self._slots[slot] = (new_offset, len(data), oid_value)
+        self._set_slot(slot, (new_offset, len(data), oid_value))
 
     def delete(self, slot):
         """Tombstone ``slot``; its space is reclaimed at next compaction."""
         offset, length, oid_value = self._slot_entry(slot)
-        self._slots[slot] = (_TOMBSTONE, length, oid_value)
+        self._set_slot(slot, (_TOMBSTONE, length, oid_value))
+
+    def _set_slot(self, slot, entry):
+        """Overwrite a directory entry, keeping the tombstone total."""
+        old_offset, old_length, __ = self._slots[slot]
+        if old_offset == _TOMBSTONE:
+            self._reclaimable -= old_length
+        if entry[0] == _TOMBSTONE:
+            self._reclaimable += entry[1]
+        self._slots[slot] = entry
 
     def compact(self):
         """Rewrite the data area dropping space of tombstoned slots."""
@@ -168,6 +184,7 @@ class Page:
         self._data = new_data
         self._slots = new_slots
         self._watermark = watermark
+        self._reclaimable = 0
 
     def items(self):
         """Yield ``(slot, oid_value, bytes)`` for every live object."""
@@ -221,7 +238,10 @@ class Page:
         cursor = page_size
         for __ in range(slot_count):
             cursor -= _SLOT.size
-            page._slots.append(_SLOT.unpack_from(raw, cursor))
+            entry = _SLOT.unpack_from(raw, cursor)
+            page._slots.append(entry)
+            if entry[0] == _TOMBSTONE:
+                page._reclaimable += entry[1]
         page.validate()
         return page
 

@@ -86,6 +86,46 @@ class TestDeterminism:
 
         assert go() == go()
 
+    def test_seeded_interleaving_is_pinned(self):
+        """The seeded shuffle sees the same list in the same order as
+        ever: this recorded step order must never change silently."""
+        rt = CooperativeRuntime(seed=1234)
+        oids = make_counters(rt, 2)
+        tids = [rt.spawn(incrementer(oids[i % 2])) for i in range(5)]
+        order = []
+        step = rt._step
+
+        def spy(task):
+            order.append(task.tid.value)
+            return step(task)
+
+        rt._step = spy
+        rt.run_until_quiescent()
+        assert [tid.value for tid in tids] == [2, 3, 4, 5, 6]
+        assert order == [
+            3, 4, 6, 2, 5, 3, 5, 4, 2, 6, 3, 5, 6, 4, 2, 5, 4, 3,
+            6, 2, 3, 5, 2, 6, 6, 2, 5, 3, 5, 3, 2, 5, 3, 5, 3, 3,
+        ]
+        assert [rt.commit(tid) for tid in tids] == [1, 1, 0, 0, 0]
+
+
+class TestLiveTasks:
+    def test_round_steps_only_live_tasks_after_long_history(self, rt):
+        """A round's work is the live tasks, not every task ever run."""
+        [oid] = make_counters(rt, 1)
+
+        def reader(tx):
+            return (yield tx.read(oid))
+
+        for __ in range(2000):
+            assert rt.run(reader).committed
+        tid = rt.spawn(reader)
+        assert rt.active_tasks() == [tid]
+        before = rt.steps
+        assert rt.round()
+        assert rt.steps - before == 1
+        assert [task.tid for task in rt._live] == [tid]
+
 
 class TestBlockingAndRetry:
     def test_conflicting_writers_stay_consistent(self, rt):

@@ -173,3 +173,57 @@ class TestSerialization:
         clone = Page.from_bytes(page.to_bytes())
         for slot, oid, data in stored:
             assert clone.read(slot) == (oid, data)
+
+
+def _tombstoned_bytes(page):
+    """Slot-scan oracle for :meth:`Page.reclaimable_space`."""
+    return sum(
+        length for offset, length, __ in page._slots if offset == 0xFFFF
+    )
+
+
+_page_op = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 90)),
+    st.tuples(st.just("update"), st.integers(0, 15), st.integers(0, 120)),
+    st.tuples(st.just("delete"), st.integers(0, 15)),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("round_trip")),
+)
+
+
+class TestReclaimableAccounting:
+    @given(st.lists(_page_op, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_running_total_matches_slot_scan(self, ops):
+        """Property: the tombstone total kept on every write equals a
+        full scan of the slot directory, across compactions and a
+        serialization round trip, and the live contents never change."""
+        page = Page(1, page_size=256)
+        live = {}  # slot -> (oid, data)
+        for serial, op in enumerate(ops, start=1):
+            kind = op[0]
+            try:
+                if kind == "insert":
+                    data = bytes([serial % 256]) * op[1]
+                    live[page.insert(serial, data)] = (serial, data)
+                elif kind == "update":
+                    slot = op[1] % max(page.slot_count, 1)
+                    data = bytes([serial % 256]) * op[2]
+                    page.update(slot, data)
+                    live[slot] = (live[slot][0], data)
+                elif kind == "delete":
+                    slot = op[1] % max(page.slot_count, 1)
+                    page.delete(slot)
+                    del live[slot]
+                elif kind == "compact":
+                    page.compact()
+                else:
+                    page = Page.from_bytes(page.to_bytes(), page_size=256)
+            except (PageFullError, StorageError):
+                pass  # refused (full page, dead or missing slot)
+            assert page.reclaimable_space() == _tombstoned_bytes(page)
+            assert page.usable_space() == (
+                page.free_space() + _tombstoned_bytes(page)
+            )
+            for slot, entry in live.items():
+                assert page.read(slot) == entry
